@@ -95,6 +95,33 @@ fn bench_reservation_churn(c: &mut Criterion) {
             })
         },
     );
+    // Worst case for the per-window assignment maps: the Theorem-1
+    // pipeline on one machine with every job in a single window of span
+    // 16n, so one window holds every fulfilled slot. The scheduler is
+    // filled once, untimed; each iteration is one steady-state
+    // delete + insert pair (oldest job out, a fresh one in).
+    let n = 20_000u64;
+    let window = realloc_core::Window::new(0, 16 * n);
+    let mut sched = TheoremOneScheduler::theorem_one(1, 8);
+    let mut live: std::collections::VecDeque<realloc_core::JobId> = (0..n)
+        .map(|i| {
+            let id = realloc_core::JobId(i);
+            sched.insert(id, window).expect("one γ-slack window");
+            id
+        })
+        .collect();
+    let mut next = n;
+    group.throughput(Throughput::Elements(2));
+    group.bench_function("one_window", |b| {
+        b.iter(|| {
+            let old = live.pop_front().expect("window is never empty");
+            sched.delete(old).expect("active job");
+            let id = realloc_core::JobId(next);
+            next += 1;
+            sched.insert(id, window).expect("one γ-slack window");
+            live.push_back(id);
+        })
+    });
     group.finish();
 }
 

@@ -32,12 +32,9 @@ struct WindowGroup {
 
 impl WindowGroup {
     fn new(machines: usize, window: Window) -> Self {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        window.hash(&mut h);
         WindowGroup {
             count: 0,
-            start: (h.finish() % machines as u64) as usize,
+            start: (rotation_hash(window) % machines as u64) as usize,
             per_machine: vec![BTreeSet::new(); machines],
         }
     }
@@ -46,6 +43,49 @@ impl WindowGroup {
     fn machine_of(&self, i: u64, machines: usize) -> usize {
         ((self.start as u64 + i) % machines as u64) as usize
     }
+}
+
+/// The hash behind a window's rotation start: SipHash-1-3 with a zero
+/// key over the 16 bytes `start ‖ end` (little-endian `u64`s).
+///
+/// This is the value `std`'s `DefaultHasher` produced for a `Window` when
+/// rotation starts were first journaled, written out here because `std`
+/// leaves that hasher's algorithm unspecified across releases. Journals,
+/// snapshots and replicas all recompute rotation starts, so the function
+/// must never change.
+fn rotation_hash(window: Window) -> u64 {
+    #[inline]
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+    // Zero key: each state word is its initialisation constant.
+    let mut v = [
+        0x736f_6d65_7073_6575,
+        0x646f_7261_6e64_6f6d,
+        0x6c79_6765_6e65_7261,
+        0x7465_6462_7974_6573,
+    ];
+    // Two message blocks, then the length block (16 bytes, no tail); one
+    // compression round per block, three finalisation rounds.
+    for m in [window.start(), window.end(), 16 << 56] {
+        v[3] ^= m;
+        round(&mut v);
+        v[0] ^= m;
+    }
+    v[2] ^= 0xff;
+    for _ in 0..3 {
+        round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -497,5 +537,30 @@ mod tests {
             assert_eq!(s.backend(m).active_count(), 4);
         }
         validate_now(&s);
+    }
+
+    #[test]
+    fn rotation_hash_is_pinned() {
+        // Values std's `DefaultHasher` gave these windows (rustc 1.95);
+        // a mismatch would move rotation starts and break journal replay.
+        let golden = [
+            ((0, 1), 0x7359_aa11_56ce_877a),
+            ((0, 64), 0x79ab_9728_8c96_3b64),
+            ((64, 128), 0xf46f_9db2_2ef7_b201),
+            ((1024, 2048), 0x9d15_e9ba_7f5a_c072),
+            ((4096, 8192), 0x8328_88b8_f4b0_2280),
+            ((395_040, 395_072), 0x487e_08f7_2aaa_d229),
+            ((0, 1 << 62), 0x074d_6ec6_ca50_926d),
+            (((1 << 63) - 8, 1 << 63), 0x67f3_7a3c_b4f1_9660),
+        ];
+        for ((start, end), want) in golden {
+            let w = Window::new(start, end);
+            assert_eq!(rotation_hash(w), want, "window {w}");
+            assert_eq!(
+                WindowGroup::new(4, w).start,
+                (want % 4) as usize,
+                "window {w}"
+            );
+        }
     }
 }

@@ -35,8 +35,10 @@
 pub fn reservation_count(x: u64, num_intervals: u64, pos: u64) -> u64 {
     debug_assert!(num_intervals.is_power_of_two());
     debug_assert!(pos < num_intervals);
+    // `num_intervals` is a power of two: shift and mask instead of dividing
+    // (this runs for every chain window of every rebalanced interval).
     let two_x = 2 * x;
-    1 + two_x / num_intervals + u64::from(pos < two_x % num_intervals)
+    1 + (two_x >> num_intervals.trailing_zeros()) + u64::from(pos < two_x & (num_intervals - 1))
 }
 
 /// The two round-robin positions whose reservation count *increases* when
@@ -83,28 +85,19 @@ pub struct Demand {
 /// shortest-window-first until the allowance is exhausted. Returns the
 /// fulfilled quota for each demand, in the same order.
 pub fn fulfilled_quotas(demands: &[Demand], allowance: u64) -> Vec<u64> {
-    let mut out = Vec::with_capacity(demands.len());
-    fulfilled_quotas_into(demands, allowance, &mut out);
-    out
-}
-
-/// Allocation-free variant of [`fulfilled_quotas`]: clears `out` and
-/// writes the fulfilled quota of each demand into it, reusing the
-/// buffer's capacity. This is the form the scheduler's rebalance hot path
-/// uses (it recomputes quotas on every affected interval of every
-/// request).
-pub fn fulfilled_quotas_into(demands: &[Demand], allowance: u64, out: &mut Vec<u64>) {
     debug_assert!(
         demands.windows(2).all(|p| p[0].span < p[1].span),
         "demands must be strictly increasing in span"
     );
-    out.clear();
     let mut remaining = allowance;
-    out.extend(demands.iter().map(|d| {
-        let f = d.reservations.min(remaining);
-        remaining -= f;
-        f
-    }));
+    demands
+        .iter()
+        .map(|d| {
+            let f = d.reservations.min(remaining);
+            remaining -= f;
+            f
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -44,24 +44,41 @@
 //! # Hot-path engineering
 //!
 //! The steady-state request path performs **no heap allocation** beyond
-//! the returned move list: every intermediate buffer rebalance and quota
-//! computation need lives in a [`Scratch`] block owned by the scheduler
-//! and reused across requests (taken/restored around each rebalance so
-//! the rare recursive hunt still works). Free-slot discovery walks the
-//! gaps of the per-interval occupancy index
-//! ([`crate::state::IntervalState::phys_occ`]) instead of probing all
-//! `L_ℓ` slots of an interval against the global slot map, and all
-//! point-lookup maps use the deterministic FxHash shim instead of
-//! SipHash. None of this changes observable behaviour — the frozen seed
-//! copy in `tests/seed_equivalence.rs` pins that down.
+//! the returned move list: every intermediate buffer a rebalance needs
+//! lives in a [`Scratch`] block owned by the scheduler and reused across
+//! requests (taken/restored around each rebalance so the rare recursive
+//! hunt still works).
+//!
+//! A rebalance is **one pass over the interval's chain windows**: per
+//! window one `windows` lookup and one `assigned_in` range scan, during
+//! which the window's fulfilled quota is computed (Observation 7's
+//! shortest-first rule is a running prefix, so no separate quota pass is
+//! needed), assignments on lower-occupied slots are dropped, and surplus
+//! empty assignments are shed. The held counts and surviving slots carry
+//! straight into phase 2, which fetches a window's entry only if it gains
+//! slots and is skipped outright when no window is under quota. The one
+//! exception is the **MOVE fallback**: when shedding empties is not enough
+//! and jobs must MOVE off shed slots, the pass pauses for the MOVEs and
+//! phase 2 recounts its inputs from the state afterwards, because a MOVE
+//! frees a slot here and its capacity hunt can re-enter this interval.
+//!
+//! Free-slot discovery walks the gaps of the per-interval occupancy index
+//! ([`crate::state::IntervalState::phys_occ`]) lazily, only as far as the
+//! claimed slots reach, instead of probing all `L_ℓ` slots of an interval
+//! against the global slot map; index and allowance upkeep touch one
+//! interval record per level; and all point-lookup maps use the
+//! deterministic FxHash shim instead of SipHash. None of this changes
+//! observable behaviour — the frozen seed copy in
+//! `tests/seed_equivalence.rs` and the engine's golden-digest pin
+//! (`crates/engine/tests/golden_digest.rs`) hold that down.
 
-use crate::quota::{
-    fulfilled_quotas_into, positions_gained, positions_lost, reservation_count, Demand,
-};
+use crate::quota::{fulfilled_quotas, positions_gained, positions_lost, reservation_count, Demand};
 use crate::state::{JobRec, Level};
 use fxhash::FxHashMap;
 use realloc_core::{Error, JobId, SingleMachineReallocator, Slot, SlotMove, Tower, Window};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Maximum admissible window end: keeping the axis inside `[0, 2^63)`
 /// guarantees aligned-parent and interval arithmetic never overflows.
@@ -95,26 +112,25 @@ pub(crate) enum Task {
 /// deletes allocate nothing beyond the returned move list.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Scratch {
-    /// Chain windows with their fulfilled quotas (`quotas_into` output).
-    targets: Vec<(Window, u64)>,
-    /// Reservation demands fed to the Observation 7 fulfillment rule.
-    demands: Vec<Demand>,
-    /// Fulfilled quota per demand (same order).
-    quotas: Vec<u64>,
-    /// Assignments that fell out of the allowance (rebalance phase 0).
-    invalid: Vec<Slot>,
-    /// One window's assignments in the interval (rebalance phase 1).
+    /// The rebalanced interval's chain windows, shortest span first.
+    chain: Vec<ChainWindow>,
+    /// One window's assignments in the interval (rebalance phases 0–1).
     cur: Vec<(Slot, Option<JobId>)>,
-    /// Sorted: lower-occupied ∪ assigned slots (rebalance phase 2).
+    /// Slots assigned to any chain window after phase 1 (sorted before
+    /// phase 2 reads it).
     taken: Vec<Slot>,
-    /// Sorted: `taken` ∪ physically occupied (rebalance phase 2).
-    blocked: Vec<Slot>,
-    /// Residual per-window demand after the free-slot pass.
-    needs: Vec<u64>,
-    /// Occupied-but-unassigned slots (phase 2 fallback pool).
-    spare: Vec<Slot>,
     /// The FIFO worklist, reused across requests.
     work: VecDeque<Task>,
+}
+
+/// One chain window of the interval being rebalanced.
+#[derive(Clone, Copy, Debug)]
+struct ChainWindow {
+    window: Window,
+    /// Fulfilled quota in the interval (Observation 7).
+    quota: u64,
+    /// Assignments it holds in the interval.
+    held: u64,
 }
 
 /// Single-machine reservation scheduler for recursively aligned windows
@@ -169,8 +185,9 @@ impl ReservationScheduler {
 
     /// Start of the level-`level` interval containing `slot`.
     pub(crate) fn interval_of(&self, level: usize, slot: Slot) -> Slot {
-        let span = self.ispan(level);
-        slot - slot % span
+        // Interval spans are powers of two (`Tower` checks): mask, don't
+        // divide — this runs several times per request.
+        slot & !(self.ispan(level) - 1)
     }
 
     /// Number of level-`level` intervals in window `w` (the paper's `2^k`).
@@ -185,16 +202,9 @@ impl ReservationScheduler {
     /// The chain of windows containing the interval at `istart` (all spans
     /// up to the level's high-water mark), sorted by span ascending, with
     /// their fulfilled quotas in this interval. Pure (Observation 7).
-    /// Writes into the caller's buffers (`demands`/`quotas` are working
-    /// storage) — the hot path calls this once per rebalanced interval.
-    pub(crate) fn quotas_into(
-        &self,
-        level: usize,
-        istart: Slot,
-        out: &mut Vec<(Window, u64)>,
-        demands: &mut Vec<Demand>,
-        quotas: &mut Vec<u64>,
-    ) {
+    /// Invariant checks and probes use this; the rebalance hot path
+    /// computes the same quotas inline, one chain window at a time.
+    pub(crate) fn quotas_at(&self, level: usize, istart: Slot) -> Vec<(Window, u64)> {
         let ispan = self.ispan(level);
         let lvl = &self.levels[level];
         let lower = lvl
@@ -202,73 +212,73 @@ impl ReservationScheduler {
             .get(&istart)
             .map(|i| i.lower_occ.len() as u64)
             .unwrap_or(0);
-        let allowance = ispan - lower;
-
-        out.clear();
-        demands.clear();
-        for span in lvl.chain_spans(ispan) {
-            let w = Window::aligned_enclosing(istart, span);
-            let x = lvl.windows.get(&w).map(|ws| ws.x).unwrap_or(0);
-            let ni = span / ispan;
-            let pos = (istart - w.start()) / ispan;
-            out.push((w, 0));
-            demands.push(Demand {
-                span,
-                reservations: reservation_count(x, ni, pos),
-            });
-        }
-        fulfilled_quotas_into(demands, allowance, quotas);
-        for (t, &q) in out.iter_mut().zip(quotas.iter()) {
-            t.1 = q;
-        }
-    }
-
-    /// Allocating convenience wrapper over [`Self::quotas_into`]
-    /// (invariant checks, probes — not the request path).
-    pub(crate) fn quotas_at(&self, level: usize, istart: Slot) -> Vec<(Window, u64)> {
-        let mut out = Vec::new();
-        let mut demands = Vec::new();
-        let mut quotas = Vec::new();
-        self.quotas_into(level, istart, &mut out, &mut demands, &mut quotas);
-        out
+        let chain: Vec<Window> = lvl
+            .chain_spans(ispan)
+            .map(|span| Window::aligned_enclosing(istart, span))
+            .collect();
+        let demands: Vec<Demand> = chain
+            .iter()
+            .map(|&w| Demand {
+                span: w.span(),
+                reservations: reservation_count(
+                    lvl.windows.get(&w).map_or(0, |ws| ws.x),
+                    w.span() / ispan,
+                    (istart - w.start()) / ispan,
+                ),
+            })
+            .collect();
+        chain
+            .into_iter()
+            .zip(fulfilled_quotas(&demands, ispan - lower))
+            .collect()
     }
 
     // ------------------------------------------------------------------
     // Occupancy index maintenance
     // ------------------------------------------------------------------
 
-    /// Records that `slot` became physically occupied: enters the
-    /// occupancy index of its enclosing interval at every level.
-    fn note_occupied(&mut self, slot: Slot) {
+    /// Records that `slot` became occupied, with one interval-record
+    /// lookup per level: it enters the occupancy index of its enclosing
+    /// interval at every level (unless `reoccupied` — a displacement keeps
+    /// the slot occupied) and the lower-occupancy set at the levels in
+    /// `lower`.
+    fn note_occupied(&mut self, slot: Slot, reoccupied: bool, lower: Range<usize>) {
         for lvl in 1..self.levels.len() {
-            let span = self.tower.interval_span(lvl);
-            let istart = slot - slot % span;
-            let inserted = self.levels[lvl]
-                .intervals
-                .entry(istart)
-                .or_default()
-                .phys_occ
-                .insert(slot);
-            debug_assert!(inserted, "slot {slot} double-entered the index at {lvl}");
+            let flip = lower.contains(&lvl);
+            if reoccupied && !flip {
+                continue;
+            }
+            let istart = self.interval_of(lvl, slot);
+            let rec = self.levels[lvl].intervals.entry(istart).or_default();
+            if !reoccupied {
+                let inserted = rec.phys_occ.insert(slot);
+                debug_assert!(inserted, "slot {slot} double-entered the index at {lvl}");
+            }
+            if flip {
+                rec.lower_occ.insert(slot);
+            }
         }
     }
 
-    /// Records that `slot` became physically free: leaves every level's
-    /// occupancy index, pruning interval records that carry nothing else.
-    fn note_freed(&mut self, slot: Slot) {
+    /// Records that `slot` became physically free, with one interval-record
+    /// lookup per level: it leaves every level's occupancy index and the
+    /// lower-occupancy set at the levels in `lower`, pruning interval
+    /// records that carry nothing else.
+    fn note_freed(&mut self, slot: Slot, lower: Range<usize>) {
         for lvl in 1..self.levels.len() {
-            let span = self.tower.interval_span(lvl);
-            let istart = slot - slot % span;
-            let mut emptied = false;
-            if let Some(rec) = self.levels[lvl].intervals.get_mut(&istart) {
-                let had = rec.phys_occ.remove(&slot);
-                debug_assert!(had, "freed slot {slot} missing from the index at {lvl}");
-                emptied = rec.is_empty();
-            } else {
+            let istart = self.interval_of(lvl, slot);
+            let Entry::Occupied(mut rec) = self.levels[lvl].intervals.entry(istart) else {
                 debug_assert!(false, "interval of an occupied slot must be materialized");
+                continue;
+            };
+            if lower.contains(&lvl) {
+                let had = rec.get_mut().lower_occ.remove(&slot);
+                debug_assert!(had, "occupied slot unrecorded at ancestor level {lvl}");
             }
-            if emptied {
-                self.levels[lvl].intervals.remove(&istart);
+            let had = rec.get_mut().phys_occ.remove(&slot);
+            debug_assert!(had, "freed slot {slot} missing from the index at {lvl}");
+            if rec.get().is_empty() {
+                rec.remove();
             }
         }
     }
@@ -333,182 +343,201 @@ impl ReservationScheduler {
     ) -> Result<(), Error> {
         let ispan = self.ispan(level);
         let iw = Window::with_span(istart, ispan);
-        self.quotas_into(
-            level,
-            istart,
-            &mut sc.targets,
-            &mut sc.demands,
-            &mut sc.quotas,
-        );
+        let high_water = self.levels[level].high_water;
+        // The chain: spans `2·ispan, 4·ispan, …` up to the high-water mark
+        // (`Level::chain_spans`), walked by hand so the walk can pause for
+        // a MOVE and resume.
+        let mut span = 2 * ispan;
+        // Spans are powers of two: mask and shift, don't divide.
+        let shift = ispan.trailing_zeros();
+        if span > high_water {
+            // No window spans this interval at this level: nothing to do.
+            return Ok(());
+        }
+        sc.chain.clear();
+        sc.taken.clear();
+        let mut remaining: Option<u64> = None;
+        let mut moved = false;
 
-        // Phase 0 + 1: per window, drop invalid assignments and shed excess.
-        for &(w, quota) in &sc.targets {
-            if !self.levels[level].windows.contains_key(&w) {
-                continue;
-            }
-            sc.invalid.clear();
-            {
-                let lvl = &self.levels[level];
-                let ws = &lvl.windows[&w];
-                let occ = lvl.intervals.get(&istart);
-                sc.invalid.extend(
-                    ws.assigned_in(iw)
-                        .filter(|(s, _)| occ.is_some_and(|i| i.lower_occ.contains(s)))
-                        .map(|(s, j)| {
-                            debug_assert!(
-                                j.is_none(),
-                                "lower-occupied slot {s} still holds a level-{level} job"
-                            );
-                            s
-                        }),
-                );
-            }
-            for &s in &sc.invalid {
-                self.levels[level]
-                    .windows
-                    .get_mut(&w)
-                    .unwrap()
-                    .remove_assignment(s);
-            }
-
-            sc.cur.clear();
-            sc.cur
-                .extend(self.levels[level].windows[&w].assigned_in(iw));
-            let excess = (sc.cur.len() as u64).saturating_sub(quota);
-            if excess == 0 {
-                continue;
-            }
-            // Shed empty assignments first; then MOVE jobs off the rest.
-            let mut shed = 0u64;
-            for &(s, _) in sc.cur.iter().filter(|(_, o)| o.is_none()) {
-                if shed == excess {
-                    break;
-                }
-                self.levels[level]
-                    .windows
-                    .get_mut(&w)
-                    .unwrap()
-                    .remove_assignment(s);
-                shed += 1;
-            }
-            if shed < excess {
-                for &(s, occ) in sc.cur.iter().filter(|(_, o)| o.is_some()) {
-                    if shed == excess {
+        // Phases 0 + 1 in one pass over the chain, shortest span first:
+        // per window one `windows` lookup and one `assigned_in` scan. The
+        // fulfilled quota is Observation 7's shortest-first rule applied
+        // incrementally (each window takes what the shorter ones left of
+        // the allowance), so it needs no separate quota pass. The pass
+        // pauses only when a window must MOVE jobs off shed slots.
+        loop {
+            let pending = {
+                let Level {
+                    windows, intervals, ..
+                } = &mut self.levels[level];
+                let lower_occ = intervals.get(&istart).map(|i| &i.lower_occ);
+                let remaining = remaining
+                    .get_or_insert_with(|| ispan - lower_occ.map_or(0, |l| l.len() as u64));
+                let mut pending = None;
+                while span <= high_water {
+                    let w = Window::with_span(istart & !(span - 1), span);
+                    let ws = windows.get_mut(&w);
+                    let x = ws.as_ref().map_or(0, |ws| ws.x);
+                    let reservations =
+                        reservation_count(x, span >> shift, (istart - w.start()) >> shift);
+                    let quota = reservations.min(*remaining);
+                    *remaining -= quota;
+                    span = span.saturating_mul(2);
+                    let Some(ws) = ws else {
+                        sc.chain.push(ChainWindow {
+                            window: w,
+                            quota,
+                            held: 0,
+                        });
+                        continue;
+                    };
+                    sc.cur.clear();
+                    sc.cur.extend(ws.assigned_in(iw));
+                    // Phase 0: drop assignments on slots that fell out of
+                    // the allowance. Only an empty one can: a lower job
+                    // taking a slot displaces any level-ℓ job there.
+                    if let Some(lower) = lower_occ.filter(|l| !l.is_empty()) {
+                        sc.cur.retain(|&(s, j)| {
+                            if j.is_some() {
+                                debug_assert!(
+                                    !lower.contains(&s),
+                                    "lower-occupied slot {s} still holds a level-{level} job"
+                                );
+                                return true;
+                            }
+                            if !lower.contains(&s) {
+                                return true;
+                            }
+                            ws.remove_assignment(s);
+                            false
+                        });
+                    }
+                    // Phase 1: shed over-quota assignments, empty ones
+                    // first (left to right).
+                    let mut excess = (sc.cur.len() as u64).saturating_sub(quota);
+                    if excess > 0 {
+                        sc.cur.retain(|&(s, j)| {
+                            if excess == 0 || j.is_some() {
+                                return true;
+                            }
+                            ws.remove_assignment(s);
+                            excess -= 1;
+                            false
+                        });
+                    }
+                    sc.chain.push(ChainWindow {
+                        window: w,
+                        quota,
+                        held: (sc.cur.len() as u64).min(quota),
+                    });
+                    if excess > 0 {
+                        pending = Some((w, excess));
                         break;
                     }
-                    let j = occ.expect("filtered on occupied");
-                    self.move_job(level, w, j, moves)?;
-                    // `move_job` vacated `s`; the assignment is now empty.
-                    self.levels[level]
-                        .windows
-                        .get_mut(&w)
-                        .unwrap()
-                        .remove_assignment(s);
-                    shed += 1;
+                    sc.taken.extend(sc.cur.iter().map(|&(s, _)| s));
                 }
-            }
-        }
-
-        // Phase 2: claim free allowance slots for under-quota windows.
-        // `taken` = lower-occupied ∪ currently assigned (by any chain
-        // window); `blocked` additionally unions the interval's occupancy
-        // index, so free slots are exactly the gaps of `blocked` — no
-        // per-slot probing of the global slot map.
-        sc.taken.clear();
-        sc.blocked.clear();
-        {
-            let lvl = &self.levels[level];
-            if let Some(ist) = lvl.intervals.get(&istart) {
-                sc.taken.extend(ist.lower_occ.iter().copied());
-            }
-            for &(w, _) in &sc.targets {
-                if let Some(ws) = lvl.windows.get(&w) {
-                    sc.taken.extend(ws.assigned_in(iw).map(|(s, _)| s));
-                }
-            }
-            sc.taken.sort_unstable();
-            // Sorted merge (dedup) of `taken` and the occupancy index.
-            let mut ti = 0usize;
-            if let Some(ist) = lvl.intervals.get(&istart) {
-                for &p in &ist.phys_occ {
-                    while ti < sc.taken.len() && sc.taken[ti] < p {
-                        sc.blocked.push(sc.taken[ti]);
-                        ti += 1;
-                    }
-                    if ti < sc.taken.len() && sc.taken[ti] == p {
-                        ti += 1;
-                    }
-                    sc.blocked.push(p);
-                }
-            }
-            sc.blocked.extend_from_slice(&sc.taken[ti..]);
-        }
-
-        // Phase 2a: hand the free gaps to windows in chain order. The
-        // cursor never revisits a slot, which matches the seed's
-        // scan-from-the-left with a shared `taken` set.
-        sc.needs.clear();
-        let iend = istart + ispan;
-        let mut free_cursor = istart;
-        let mut bi = 0usize;
-        for &(w, quota) in &sc.targets {
-            let cur = self.levels[level]
-                .windows
-                .get(&w)
-                .map(|ws| ws.assigned_in(iw).count() as u64)
-                .unwrap_or(0);
-            let mut needed = quota.saturating_sub(cur);
-            while needed > 0 && free_cursor < iend {
-                if bi < sc.blocked.len() && sc.blocked[bi] == free_cursor {
-                    free_cursor += 1;
-                    bi += 1;
-                    continue;
-                }
+                pending
+            };
+            let Some((w, excess)) = pending else { break };
+            // Every empty assignment is gone and `excess` jobs still sit
+            // on over-quota slots: MOVE them off, left to right.
+            moved = true;
+            for &(s, j) in sc.cur.iter().take(excess as usize) {
+                let j = j.expect("empty assignments were shed first");
+                self.move_job(level, w, j, moves)?;
+                // `move_job` vacated `s`; the assignment is now empty.
                 self.levels[level]
                     .windows
-                    .entry(w)
-                    .or_default()
-                    .add_assignment(free_cursor);
-                free_cursor += 1;
-                needed -= 1;
+                    .get_mut(&w)
+                    .unwrap()
+                    .remove_assignment(s);
             }
-            sc.needs.push(needed);
+        }
+
+        // A MOVE frees a slot here, and its capacity hunt can rebalance
+        // this very interval: recount the phase-2 inputs from the state.
+        if moved {
+            sc.taken.clear();
+            let windows = &self.levels[level].windows;
+            for t in sc.chain.iter_mut() {
+                t.held = 0;
+                if let Some(ws) = windows.get(&t.window) {
+                    for (s, _) in ws.assigned_in(iw) {
+                        sc.taken.push(s);
+                        t.held += 1;
+                    }
+                }
+            }
+        }
+        if sc.chain.iter().all(|t| t.held >= t.quota) {
+            return Ok(());
+        }
+
+        // Phase 2a: claim free allowance slots for under-quota windows, in
+        // chain order. Free slots are the gaps of `taken` ∪ the occupancy
+        // index (`lower_occ ⊆ phys_occ`), walked lazily left to right; the
+        // cursor never revisits a slot, which matches the seed's
+        // scan-from-the-left with a shared `taken` set.
+        sc.taken.sort_unstable();
+        let Level {
+            windows, intervals, ..
+        } = &mut self.levels[level];
+        let ist = intervals.get(&istart);
+        let mut phys = ist.into_iter().flat_map(|i| i.phys_occ.iter().copied());
+        let mut next_phys = phys.next();
+        let mut ti = 0usize;
+        let iend = istart + ispan;
+        let mut cursor = istart;
+        for t in sc.chain.iter_mut() {
+            let mut ws = None;
+            while t.held < t.quota && cursor < iend {
+                let slot = cursor;
+                cursor += 1;
+                let mut blocked = false;
+                if sc.taken.get(ti) == Some(&slot) {
+                    ti += 1;
+                    blocked = true;
+                }
+                if next_phys == Some(slot) {
+                    next_phys = phys.next();
+                    blocked = true;
+                }
+                if !blocked {
+                    if ws.is_none() {
+                        ws = Some(windows.entry(t.window).or_default());
+                    }
+                    ws.as_mut().unwrap().add_assignment(slot);
+                    t.held += 1;
+                }
+            }
         }
 
         // Phase 2b: residual demand falls back to occupied-but-unassigned
         // slots (assignment ≠ occupancy; PLACE displaces on use). This can
         // only happen once every free slot in the interval is spoken for,
-        // so the candidates are exactly `phys_occ \ taken`, left to right.
-        if sc.needs.iter().any(|&n| n > 0) {
-            sc.spare.clear();
-            {
-                let lvl = &self.levels[level];
-                if let Some(ist) = lvl.intervals.get(&istart) {
-                    let mut ti = 0usize;
-                    for &p in &ist.phys_occ {
-                        while ti < sc.taken.len() && sc.taken[ti] < p {
-                            ti += 1;
-                        }
-                        if ti < sc.taken.len() && sc.taken[ti] == p {
-                            continue;
-                        }
-                        sc.spare.push(p);
+        // so the candidates are exactly `phys_occ \ (taken ∪ lower_occ)`,
+        // left to right.
+        if sc.chain.iter().any(|t| t.held < t.quota) {
+            let mut spare = ist
+                .into_iter()
+                .flat_map(|i| {
+                    i.phys_occ
+                        .iter()
+                        .copied()
+                        .filter(|p| !i.lower_occ.contains(p))
+                })
+                .filter(|p| sc.taken.binary_search(p).is_err());
+            for t in sc.chain.iter_mut() {
+                let mut ws = None;
+                while t.held < t.quota {
+                    let Some(p) = spare.next() else { break };
+                    if ws.is_none() {
+                        ws = Some(windows.entry(t.window).or_default());
                     }
+                    ws.as_mut().unwrap().add_assignment(p);
+                    t.held += 1;
                 }
-            }
-            let mut si = 0usize;
-            for (idx, &(w, _)) in sc.targets.iter().enumerate() {
-                let mut needed = sc.needs[idx];
-                while needed > 0 && si < sc.spare.len() {
-                    self.levels[level]
-                        .windows
-                        .entry(w)
-                        .or_default()
-                        .add_assignment(sc.spare[si]);
-                    si += 1;
-                    needed -= 1;
-                }
-                debug_assert_eq!(needed, 0, "quota exceeds free capacity in interval");
+                debug_assert!(t.held >= t.quota, "quota exceeds free capacity in interval");
             }
         }
         Ok(())
@@ -620,8 +649,8 @@ impl ReservationScheduler {
         // Occupancy index: with a hopper both slots stay occupied; without
         // one the job's move frees `s` and claims `target`.
         if hopper.is_none() {
-            self.note_occupied(target);
-            self.note_freed(s);
+            self.note_occupied(target, false, 0..0);
+            self.note_freed(s, 0..0);
         }
         Ok(())
     }
@@ -676,10 +705,6 @@ impl ReservationScheduler {
                 .vacate(slot);
             (h, hrec)
         });
-        if displaced.is_none() {
-            // Newly occupied (a displacement keeps the slot occupied).
-            self.note_occupied(slot);
-        }
         self.jobs.insert(
             job,
             JobRec {
@@ -696,21 +721,16 @@ impl ReservationScheduler {
 
         // Allowance flips: `slot` becomes lower-occupied for levels in
         // (level, htop]; above a displaced occupant's level it already was.
+        // Each flipped interval is rebalanced.
         let htop = displaced
             .as_ref()
             .map(|(_, hrec)| hrec.level)
             .unwrap_or(self.levels.len() - 1);
+        self.note_occupied(slot, displaced.is_some(), (level + 1)..(htop + 1));
         for lvl2 in (level + 1)..=htop {
-            let istart = self.interval_of(lvl2, slot);
-            self.levels[lvl2]
-                .intervals
-                .entry(istart)
-                .or_default()
-                .lower_occ
-                .insert(slot);
             work.push_back(Task::Rebalance {
                 level: lvl2,
-                istart,
+                istart: self.interval_of(lvl2, slot),
             });
         }
         if let Some((h, hrec)) = displaced {
@@ -741,18 +761,7 @@ impl ReservationScheduler {
             from: Some(slot),
             to: None,
         });
-        for lvl2 in (level + 1)..self.levels.len() {
-            let istart = self.interval_of(lvl2, slot);
-            if let Some(rec) = self.levels[lvl2].intervals.get_mut(&istart) {
-                let had = rec.lower_occ.remove(&slot);
-                debug_assert!(had, "occupied slot unrecorded at ancestor level {lvl2}");
-            } else {
-                debug_assert!(false, "ancestor interval of an occupied slot must exist");
-            }
-        }
-        // Occupancy index update + pruning of now-empty records (covers
-        // the `lower_occ` removals above too).
-        self.note_freed(slot);
+        self.note_freed(slot, (level + 1)..self.levels.len());
     }
 
     // ------------------------------------------------------------------
@@ -902,20 +911,18 @@ impl ReservationScheduler {
         let ni = self.num_intervals(level, window);
 
         // Physically remove the job; its fulfilled slot stays (for now).
-        self.levels[level]
-            .windows
-            .get_mut(&window)
-            .unwrap()
-            .vacate(slot);
-        self.vacate_physical(job, level, slot, moves);
-        self.jobs.remove(&job);
-
         // Drop the two reservations: quota falls at the two rightmost
         // heaviest intervals (may shed fulfilled slots; a shed slot holding
         // a job triggers MOVE). Standing per-interval reservations remain
         // even at x = 0 (Figure 1 line 1).
-        let x_old = self.levels[level].windows[&window].x;
-        self.levels[level].windows.get_mut(&window).unwrap().x -= 1;
+        let x_old = {
+            let ws = self.levels[level].windows.get_mut(&window).unwrap();
+            ws.vacate(slot);
+            ws.x -= 1;
+            ws.x + 1
+        };
+        self.vacate_physical(job, level, slot, moves);
+        self.jobs.remove(&job);
         for pos in positions_lost(x_old, ni) {
             work.push_back(Task::Rebalance {
                 level,

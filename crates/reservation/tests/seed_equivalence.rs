@@ -938,3 +938,36 @@ fn equivalent_on_leveled_saturation_adversary() {
     }
     assert_equivalent(reqs.into_iter(), "leveled saturation");
 }
+
+#[test]
+fn equivalent_on_quota_drop_move() {
+    // Five jobs in one level-1 window of 8 intervals fill its leftmost
+    // fulfilled slots. Deleting the middle job drops the window's quota
+    // in two intervals (Invariant 5's rightmost-heaviest rule), one of
+    // which is left holding more occupied assignments than its new
+    // quota — so the rebalance must MOVE a job off a shed slot (Figure 1
+    // lines 10–14) rather than just shed an empty reservation.
+    let w = Window::new(0, 256);
+    let mut reqs: Vec<Request> = (0..5u64)
+        .map(|i| Request::Insert {
+            id: JobId(i),
+            window: w,
+        })
+        .collect();
+    reqs.push(Request::Delete { id: JobId(2) });
+
+    let mut sched = ReservationScheduler::new();
+    for i in 0..5u64 {
+        sched
+            .insert(JobId(i), w)
+            .expect("five jobs fit an empty 256-slot window");
+    }
+    let moves = sched.delete(JobId(2)).expect("active job");
+    assert!(
+        moves
+            .iter()
+            .any(|m| m.job != JobId(2) && m.from.is_some() && m.to.is_some()),
+        "the quota drop must MOVE a surviving job: {moves:?}"
+    );
+    assert_equivalent(reqs.into_iter(), "quota-drop MOVE");
+}
