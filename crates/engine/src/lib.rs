@@ -125,9 +125,21 @@ pub use realloc_core::router::TENANT_SHIFT;
 
 /// A durable tee under the in-memory journal: everything the journal
 /// records — batches of events, epoch records, checkpoints — is also
-/// handed to the attached sink, and [`Engine::flush_durable`] calls
-/// [`DurabilitySink::sync`] once per flush (group commit) so its `Ok`
-/// means *on stable storage*, not just *in memory*.
+/// handed to the attached sink, and [`Engine::flush_durable`] makes the
+/// flushed batch stable before it returns `Ok` — *on stable storage*,
+/// not just *in memory*.
+///
+/// A sink commits in one of two ways:
+///
+/// * **In-lock** (the default): [`DurabilitySink::sync`] runs on the
+///   engine's own `&mut self`, so a front-end sharing the engine behind
+///   a mutex holds that mutex across the fsync.
+/// * **Group commit**: [`DurabilitySink::group_commit`] hands out a
+///   shared [`GroupCommit`] handle whose
+///   [`GroupCommit::commit_through`] takes `&self` and needs no engine
+///   access. A front-end flushes under its lock, releases it, and waits
+///   for its batch outside; concurrent waiters share fsyncs
+///   ([`Engine::group_commit`]).
 ///
 /// The on-disk implementation lives in `realloc-store` (this crate
 /// cannot depend on it — the store decodes through [`Journal`], so the
@@ -153,6 +165,32 @@ pub trait DurabilitySink: Send + std::fmt::Debug {
     /// Group-commit barrier: everything appended so far must be on
     /// stable storage when this returns `Ok`.
     fn sync(&mut self) -> Result<(), String>;
+
+    /// The sink's shared commit handle, when it can make batches durable
+    /// without the engine: `None` (the default) keeps every commit on
+    /// the in-lock [`DurabilitySink::sync`] path.
+    fn group_commit(&self) -> Option<Arc<dyn GroupCommit>> {
+        None
+    }
+}
+
+/// A durable sink's group-commit watermark, shared with waiters that do
+/// not hold the engine ([`DurabilitySink::group_commit`]).
+///
+/// Implementations must uphold, for every batch number `b` the engine
+/// flushed before the call:
+///
+/// * `Ok` means every record appended at or before batch `b` — epoch
+///   records included — is on stable storage;
+/// * a failed commit is **sticky**: once the underlying fsync failed,
+///   every commit it covered and every later commit of a batch it did
+///   not already cover fails too, and the sink refuses further appends
+///   (an fsync is never retried — after a failed fsync the kernel may
+///   have dropped the dirty pages it reported on).
+pub trait GroupCommit: Send + Sync + std::fmt::Debug {
+    /// Blocks until batch `batch` (and everything appended before it) is
+    /// durable. Returns at once when it already is.
+    fn commit_through(&self, batch: u64) -> Result<(), String>;
 }
 
 /// Flush-coalescing policy ([`Engine::set_flush_coalescing`]): lets a
@@ -192,7 +230,10 @@ pub enum FlushMode {
     /// [`CoalesceConfig`]; `None` means *accepted, not yet serviced*.
     Coalesced,
     /// [`Engine::flush_durable`]: drain now and group-commit to the
-    /// attached durable sink before reporting success.
+    /// attached durable sink before reporting success. A front-end that
+    /// shares the engine behind a lock may instead flush under the lock
+    /// and wait on [`Engine::group_commit`]'s handle after releasing it;
+    /// either way a reply is sent only once an fsync covers its batch.
     Durable,
 }
 
@@ -852,21 +893,34 @@ impl Engine {
         self.durability_error.as_deref()
     }
 
-    /// [`Engine::flush`] with a durability barrier: services everything
-    /// queued, tees the batch to the attached sink, and group-commits
-    /// ([`DurabilitySink::sync`] — one fsync per flush, however many
-    /// events it carried). `Ok` therefore means *this batch survives a
-    /// crash*. Fails when no sink is attached, when a previous tee
-    /// already failed (sticky), or when the sync itself fails; the
-    /// in-memory flush still happened in every error case.
-    pub fn flush_durable(&mut self) -> Result<BatchReport, String> {
-        let report = self.flush();
-        if self.sink.is_none() {
+    /// The attached sink's group-commit handle, for front-ends that wait
+    /// for durability after releasing their engine lock: flush, take the
+    /// handle (which also surfaces an append failure of that flush), and
+    /// call [`GroupCommit::commit_through`] with the report's batch
+    /// number. `Ok(None)` means the sink commits in-lock only (use
+    /// [`Engine::flush_durable`]); `Err` means no sink is attached or the
+    /// sticky durability error is set.
+    pub fn group_commit(&self) -> Result<Option<Arc<dyn GroupCommit>>, String> {
+        let Some(sink) = &self.sink else {
             return Err("no durable store attached (Engine::attach_durability)".to_string());
-        }
+        };
         if let Some(e) = &self.durability_error {
             return Err(e.clone());
         }
+        Ok(sink.group_commit())
+    }
+
+    /// [`Engine::flush`] with a durability barrier: services everything
+    /// queued, tees the batch to the attached sink, and group-commits
+    /// (one fsync per flush at most, however many events it carried —
+    /// through the sink's [`GroupCommit`] handle when it has one, else
+    /// [`DurabilitySink::sync`]). `Ok` therefore means *this batch
+    /// survives a crash*. Fails when no sink is attached, when a
+    /// previous tee already failed (sticky), or when the commit itself
+    /// fails; the in-memory flush still happened in every error case.
+    pub fn flush_durable(&mut self) -> Result<BatchReport, String> {
+        let report = self.flush();
+        let group = self.group_commit()?;
         // The flush consumed `pending_trace`; look the batch's context
         // back up so the group-commit fsync lands in the same trace.
         let trace = self.trace_of_batch(report.batch);
@@ -874,7 +928,10 @@ impl Engine {
             Some(tc) => tele.t.span_in(tc, "fsync", report.batch),
             None => tele.t.span("fsync", report.batch),
         });
-        let synced = self.sink.as_mut().expect("checked above").sync();
+        let synced = match group {
+            Some(group) => group.commit_through(report.batch),
+            None => self.sink.as_mut().expect("group_commit checked").sync(),
+        };
         drop(span);
         if let Err(e) = synced {
             self.durability_fail(e.clone());

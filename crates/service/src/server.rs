@@ -8,10 +8,29 @@
 //! connection gets a detached handler thread with the configured read
 //! timeout (a silent client is reaped, never pinned — the ObsServer
 //! lesson applied from day one). Handlers share the engine behind one
-//! mutex: a batch holds the lock for its submits plus one flush, so
+//! mutex: a batch holds the lock for its submits plus one flush (but
+//! not a durable batch's fsync — see *Durable replies*), so
 //! client batches interleave with embedder calls (`rebalance`,
 //! `resize`, checkpoints) at batch granularity and a rebalance never
 //! tears an admitted batch.
+//!
+//! # Durable replies
+//!
+//! Under [`FlushMode::Durable`], when the attached sink hands out a
+//! group-commit handle ([`Engine::group_commit`]), the lock is **not**
+//! held through the fsync: a batch flushes in memory under the lock,
+//! records its batch number as each admitting tenant's last write,
+//! releases the lock, and waits on
+//! [`realloc_engine::GroupCommit::commit_through`] before it writes a
+//! single reply. Another connection's flush — and its fsync, which may
+//! cover both batches — proceeds meanwhile. Reads are gated the same
+//! way, per tenant: a `window` read of tenant `T` waits until `T`'s
+//! last-write batch is durable (exact, because job ids are tenant-
+//! namespaced and a job's window changes only through its own insert or
+//! delete), and `metrics` waits for the newest flushed batch — so no
+//! reply ever reports state a crash could take back. A commit error
+//! turns every reply that waited on it into `err durability: …`. Sinks
+//! without a handle keep the in-lock [`Engine::flush_durable`] path.
 //!
 //! # Batching
 //!
@@ -29,6 +48,7 @@ use realloc_core::textio::{read_frame, write_frame};
 use realloc_core::Request;
 use realloc_engine::{Engine, FlushMode, TenantId};
 use realloc_telemetry::{Severity, Telemetry, TraceCtx};
+use std::collections::HashMap;
 use std::io::{BufRead as _, BufReader, BufWriter, ErrorKind, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,7 +73,9 @@ pub struct ServiceConfig {
     /// How batches are flushed: [`FlushMode::Immediate`] answers every
     /// mutation with its outcome; [`FlushMode::Coalesced`] may answer
     /// `ok queued …` and service later; [`FlushMode::Durable`] group-
-    /// commits to the attached store before answering.
+    /// commits to the attached store before answering (outside the
+    /// engine lock when the store has a group-commit handle — see the
+    /// module docs).
     pub flush: FlushMode,
     /// Causal-trace sampling: every Nth batch that admits a mutation
     /// mints a [`realloc_telemetry::TraceCtx`] at receipt, threads it
@@ -88,6 +110,11 @@ struct Shared {
     /// Monotone batch counter driving trace sampling (and salting the
     /// minted ids, so two batches in the same nanosecond still differ).
     trace_seq: AtomicU64,
+    /// Each tenant's newest flushed batch on the out-of-lock durable
+    /// path: what a read of that tenant waits for. Written and read
+    /// under the engine lock, so a read never sees state newer than the
+    /// batch it waits on.
+    last_write: Mutex<HashMap<TenantId, u64>>,
 }
 
 /// The serving front-end: owns the accept loop and the shared engine.
@@ -121,6 +148,7 @@ impl ServiceServer {
             clock,
             config,
             trace_seq: AtomicU64::new(0),
+            last_write: Mutex::new(HashMap::new()),
         });
         let accept_stop = Arc::clone(&stop);
         let accept_thread = std::thread::Builder::new()
@@ -282,13 +310,15 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
 struct InFlight {
     /// Index into the batch's reply vector.
     slot: usize,
+    tenant: TenantId,
     /// The namespaced request as the engine journals it.
     request: Request,
     _guard: AdmitGuard,
 }
 
 /// Services one batch of command frames: QoS, submits + one flush
-/// under the engine lock, failure mapping, replies in order.
+/// under the engine lock, failure mapping, the durable wait after the
+/// lock is released, replies in order.
 fn serve_batch(
     frames: &[Vec<u8>],
     writer: &mut BufWriter<TcpStream>,
@@ -359,10 +389,21 @@ fn serve_batch(
     };
 
     let mut admitted: Vec<InFlight> = Vec::new();
-    {
+    // Out-of-lock durable path: the batch to commit and each gated
+    // read's `(slot, batch)` to wait for after the lock is released.
+    let mut commit_batch: Option<u64> = None;
+    let mut read_waits: Vec<(usize, u64)> = Vec::new();
+    let group = {
         let mut engine = match shared.engine.lock() {
             Ok(g) => g,
             Err(_) => return Err(std::io::Error::other("engine lock poisoned")),
+        };
+        // A group-commit handle moves the fsync out of this lock; its
+        // absence (or a sticky error, which the in-lock path reports)
+        // keeps the whole commit here.
+        let group = match shared.config.flush {
+            FlushMode::Durable => engine.group_commit().ok().flatten(),
+            _ => None,
         };
         for (i, tenant, request, guard) in to_submit {
             match engine.submit_for(tenant, request) {
@@ -378,6 +419,7 @@ fn serve_batch(
                     };
                     admitted.push(InFlight {
                         slot: i,
+                        tenant,
                         request: namespaced,
                         _guard: guard,
                     });
@@ -387,7 +429,28 @@ fn serve_batch(
         }
 
         if !admitted.is_empty() {
-            match engine.flush_batch_traced(shared.config.flush, trace) {
+            let mode = match group {
+                Some(_) => FlushMode::Immediate,
+                None => shared.config.flush,
+            };
+            let flushed = engine.flush_batch_traced(mode, trace).and_then(|report| {
+                // Surfaces an append failure of this very flush.
+                if group.is_some() {
+                    engine.group_commit()?;
+                }
+                Ok(report)
+            });
+            if group.is_some() {
+                // The batch is in memory whatever the outcome, so reads
+                // of these tenants wait on it (and fail if it failed).
+                let batch = engine.batches() - 1;
+                let mut last = shared.last_write.lock().expect("last-write map poisoned");
+                for inflight in &admitted {
+                    last.insert(inflight.tenant, batch);
+                }
+                commit_batch = flushed.is_ok().then_some(batch);
+            }
+            match flushed {
                 Ok(Some(report)) => {
                     // Map this batch's failures back onto their
                     // commands: first unconsumed failure matching the
@@ -430,6 +493,9 @@ fn serve_batch(
         }
 
         // Reads under the same lock hold see the batch they rode with.
+        let last = group
+            .is_some()
+            .then(|| shared.last_write.lock().expect("last-write map poisoned"));
         for (i, cmd) in &pending_reads {
             replies[*i] = Some(match cmd {
                 Command::Window { tenant, id } => match engine.window_of_for(*tenant, *id) {
@@ -440,8 +506,38 @@ fn serve_batch(
                 Command::Metrics => Reply::MetricsIs(engine.metrics()),
                 _ => Reply::Err("unreachable read".to_string()),
             });
+            if let Some(last) = &last {
+                let wait = match cmd {
+                    Command::Window { tenant, .. } => last.get(tenant).copied(),
+                    Command::Metrics => engine.batches().checked_sub(1),
+                    _ => None,
+                };
+                read_waits.extend(wait.map(|b| (*i, b)));
+            }
         }
-    } // engine lock released; admission guards still held until replied
+        group
+    }; // engine lock released; admission guards still held until replied
+
+    if let Some(group) = &group {
+        if let Some(batch) = commit_batch {
+            let span = shared.tele.as_ref().map(|tele| match trace {
+                Some(tc) => tele.t.span_in(tc, "fsync", batch),
+                None => tele.t.span("fsync", batch),
+            });
+            let committed = group.commit_through(batch);
+            drop(span);
+            if let Err(e) = committed {
+                for inflight in &admitted {
+                    replies[inflight.slot] = Some(Reply::Err(format!("durability: {e}")));
+                }
+            }
+        }
+        for (i, batch) in read_waits {
+            if let Err(e) = group.commit_through(batch) {
+                replies[i] = Some(Reply::Err(format!("durability: {e}")));
+            }
+        }
+    }
 
     // Replies in command order, one writer flush for the whole batch.
     // A traced batch suffixes its admitted mutations' replies with

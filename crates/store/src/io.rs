@@ -16,10 +16,11 @@
 //! right, not just its happy path.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fs::File;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Abstract file I/O for the store; see the module docs. All methods
 /// take `&self` (implementations use interior mutability) so one
@@ -52,13 +53,59 @@ pub trait StoreIo: Send + Sync + std::fmt::Debug {
 // ----------------------------------------------------------------------
 
 /// [`StoreIo`] over `std::fs` — the production implementation.
+///
+/// Keeps the most recently appended file open (in a store: the open
+/// segment), so the per-flush append and fsync skip an `open` + `close`
+/// each. The handle is dropped when that path is renamed, removed or
+/// truncated.
 #[derive(Debug, Default)]
-pub struct FsIo;
+pub struct FsIo {
+    /// The last appended path and its append-mode handle. Shared out as
+    /// an `Arc` so a long fsync never holds this lock against an append.
+    open: Mutex<Option<(PathBuf, Arc<File>)>>,
+}
+
+/// Whether the platform can fsync a directory. POSIX can (and needs it
+/// for entry durability); elsewhere a directory cannot be opened for
+/// syncing at all.
+const DIR_FSYNC: bool = cfg!(unix);
+
+/// A directory fsync's reported outcome: the real result where
+/// directories can be fsynced — an `EIO` there means a rename or create
+/// may not survive, so it must fail the operation it guards — and
+/// success where they cannot.
+fn dir_sync_outcome(result: io::Result<()>, supported: bool) -> io::Result<()> {
+    if supported {
+        result
+    } else {
+        Ok(())
+    }
+}
 
 impl FsIo {
-    /// A real-fs handle.
+    /// A real-fs handle with no file open yet.
     pub fn new() -> FsIo {
-        FsIo
+        FsIo::default()
+    }
+
+    fn cache(&self) -> std::sync::MutexGuard<'_, Option<(PathBuf, Arc<File>)>> {
+        self.open.lock().expect("fsio handle cache poisoned")
+    }
+
+    /// The kept handle, if it is `path`'s.
+    fn cached(&self, path: &Path) -> Option<Arc<File>> {
+        match &*self.cache() {
+            Some((p, f)) if p == path => Some(Arc::clone(f)),
+            _ => None,
+        }
+    }
+
+    /// Drops the kept handle if it is `path`'s.
+    fn forget(&self, path: &Path) {
+        let mut cache = self.cache();
+        if cache.as_ref().is_some_and(|(p, _)| p == path) {
+            *cache = None;
+        }
     }
 }
 
@@ -82,37 +129,48 @@ impl StoreIo for FsIo {
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
         use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        f.write_all(data)
+        let file = match self.cached(path) {
+            Some(f) => f,
+            None => {
+                let f = Arc::new(
+                    std::fs::OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(path)?,
+                );
+                *self.cache() = Some((path.to_path_buf(), Arc::clone(&f)));
+                f
+            }
+        };
+        (&*file).write_all(data)
     }
 
     fn sync_file(&self, path: &Path) -> io::Result<()> {
-        std::fs::File::open(path)?.sync_all()
-    }
-
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        // Opening a directory read-only and fsyncing it is the portable
-        // std-only way to persist its entries on Unix; on platforms
-        // where directories cannot be fsynced this degrades to a no-op
-        // error swallow (Windows has no dir-entry durability gap API).
-        match std::fs::File::open(dir) {
-            Ok(d) => d.sync_all().or(Ok(())),
-            Err(e) => Err(e),
+        match self.cached(path) {
+            Some(f) => f.sync_all(),
+            None => File::open(path)?.sync_all(),
         }
     }
 
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        // Opening a directory read-only and fsyncing it is the std-only
+        // way to persist its entries on Unix.
+        dir_sync_outcome(File::open(dir).and_then(|d| d.sync_all()), DIR_FSYNC)
+    }
+
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.forget(from);
+        self.forget(to);
         std::fs::rename(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.forget(path);
         std::fs::remove_file(path)
     }
 
     fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        self.forget(path);
         let f = std::fs::OpenOptions::new().write(true).open(path)?;
         f.set_len(len)
     }
@@ -624,5 +682,47 @@ mod tests {
         assert_eq!(run(None), (4, 0));
         // Crash at op 2: op 2, 3, 4 all fail.
         assert_eq!(run(Some(2)), (4, 3));
+    }
+
+    #[test]
+    fn dir_fsync_errors_propagate_where_dirs_can_be_synced() {
+        let eio = || Err(io::Error::from_raw_os_error(5));
+        let err = dir_sync_outcome(eio(), true).unwrap_err();
+        assert_eq!(err.raw_os_error(), Some(5));
+        assert!(dir_sync_outcome(eio(), false).is_ok());
+        assert!(dir_sync_outcome(Ok(()), true).is_ok());
+        if DIR_FSYNC {
+            let missing = std::env::temp_dir().join("realloc-fsio-no-such-dir/x");
+            assert!(FsIo::new().sync_dir(&missing).is_err());
+        }
+    }
+
+    #[test]
+    fn fs_io_reuses_and_drops_the_open_handle() {
+        let dir = std::env::temp_dir().join(format!("realloc-fsio-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let io = FsIo::new();
+        io.create_dir_all(&dir).unwrap();
+        let (a, b) = (dir.join("a"), dir.join("b"));
+        io.append(&a, b"one ").unwrap();
+        io.append(&a, b"two").unwrap();
+        io.sync_file(&a).unwrap();
+        assert!(io.cached(&a).is_some());
+        io.sync_dir(&dir).unwrap();
+        // A rename drops the handle: the next append to the old name
+        // creates a fresh file instead of writing into the renamed one.
+        io.rename(&a, &b).unwrap();
+        assert!(io.cached(&a).is_none());
+        io.append(&a, b"three").unwrap();
+        assert_eq!(io.read_file(&b).unwrap(), b"one two");
+        assert_eq!(io.read_file(&a).unwrap(), b"three");
+        io.truncate(&a, 2).unwrap();
+        assert!(io.cached(&a).is_none());
+        io.append(&a, b"!").unwrap();
+        assert_eq!(io.read_file(&a).unwrap(), b"th!");
+        io.remove_file(&a).unwrap();
+        assert!(io.cached(&a).is_none());
+        assert_eq!(io.list_dir(&dir).unwrap(), vec!["b".to_string()]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -32,9 +32,10 @@
 //! # Guarantees
 //!
 //! With a store attached, `Engine::flush_durable` returning `Ok` means
-//! the flush's journal records are on stable storage (one group-commit
-//! `fsync` per flush). A crash at *any* instruction boundary loses at
-//! most the unacknowledged suffix; recovery truncates a torn tail at
+//! the flush's journal records are on stable storage (at most one
+//! group-commit `fsync` per flush, shared by concurrent waiters). A
+//! crash at *any* instruction boundary loses at most the
+//! unacknowledged suffix; recovery truncates a torn tail at
 //! the last valid record and never panics on hostile bytes. What it
 //! cannot prove valid, it reports as a located error naming the file
 //! and offset.
@@ -44,6 +45,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod commit;
 pub mod flight;
 pub mod format;
 pub mod harness;

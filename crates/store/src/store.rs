@@ -7,11 +7,21 @@
 //! [`DurableStore`] implements [`realloc_engine::DurabilitySink`]:
 //!
 //! * every flushed batch and epoch record becomes one framed record
-//!   appended to the open segment file (`seg-NNNNNN.log`),
-//! * [`DurableStore::sync`] — called by `Engine::flush_durable` — is
-//!   the **group commit**: one `fsync` per flush, covering however many
-//!   records the flush appended,
-//! * a checkpoint seals the segment (fsyncs any unsynced tail), writes
+//!   appended to the open segment file (`seg-NNNNNN.log`); an append
+//!   never waits for an fsync,
+//! * the **group commit** is a shared watermark
+//!   ([`realloc_engine::DurabilitySink::group_commit`]):
+//!   `commit_through(batch)` returns at once when an earlier fsync
+//!   covered the batch, and otherwise fsyncs the open segment once for
+//!   every record appended before the fsync started — so a front-end
+//!   that waits for it after releasing the engine lock shares fsyncs
+//!   with concurrent waiters instead of queueing each one behind the
+//!   lock. `Engine::flush_durable` calls it on its own thread; the
+//!   in-lock `sync` goes through the same watermark. A failed fsync is
+//!   sticky and never retried: every commit it covered, every later
+//!   commit and every later append gets its error,
+//! * a checkpoint takes the watermark's sync mutex, seals the segment
+//!   (fsyncs any unsynced tail), writes
 //!   `ckpt-NNNNNN.ckpt` via temp-file + `fsync` + atomic rename +
 //!   directory `fsync`, starts segment `N`, and then unlinks sealed
 //!   segments beyond the retention cap — the on-disk analogue of
@@ -44,6 +54,7 @@
 //! reuses the exact grammar, validation, and divergence detection of
 //! the in-memory path.
 
+use crate::commit::CommitLog;
 use crate::format::{
     append_record, checkpoint_file_name, classify, segment_file_name, FileKind, RecordReader,
 };
@@ -51,8 +62,8 @@ use crate::io::{FsIo, StoreIo};
 use crate::tele::StoreTele;
 use realloc_core::textio::ParseError;
 use realloc_engine::{
-    Checkpoint, DurabilitySink, Engine, EngineConfig, EpochRecord, Journal, JournalEvent,
-    ReplayError,
+    Checkpoint, DurabilitySink, Engine, EngineConfig, EpochRecord, GroupCommit, Journal,
+    JournalEvent, ReplayError,
 };
 use realloc_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -548,7 +559,7 @@ pub trait RecoverFromDir: Sized {
 
     /// [`RecoverFromDir::recover_from_store`] over the real file system.
     fn recover_from_dir(dir: &Path) -> Result<Self, StoreError> {
-        Self::recover_from_store(&FsIo, dir)
+        Self::recover_from_store(&FsIo::new(), dir)
     }
 }
 
@@ -592,10 +603,9 @@ pub struct DurableStore {
     retained: usize,
     /// The journal config header line this store was created under.
     config_line: String,
-    /// Whether every appended byte has been fsynced (skips redundant
-    /// group commits).
-    synced: bool,
-    tele: Option<Box<StoreTele>>,
+    /// The group-commit watermark, shared with out-of-lock waiters.
+    commit: Arc<CommitLog>,
+    tele: Option<Arc<StoreTele>>,
 }
 
 impl DurableStore {
@@ -633,13 +643,16 @@ impl DurableStore {
             config.shards, config.machines_per_shard, config.backend, config.retained_segments
         );
         let mut store = DurableStore {
+            commit: Arc::new(CommitLog::new(
+                Arc::clone(&io),
+                dir.join(segment_file_name(0)),
+            )),
             io,
             dir: dir.to_path_buf(),
             seg: 0,
             lo: 0,
             retained: config.retained_segments,
             config_line,
-            synced: true,
             tele: None,
         };
         store.write_segment_header(0).map_err(Self::from_io)?;
@@ -675,13 +688,16 @@ impl DurableStore {
             report.torn_bytes_truncated = total - valid_len;
         }
         let mut store = DurableStore {
+            commit: Arc::new(CommitLog::new(
+                Arc::clone(&io),
+                dir.join(segment_file_name(scan.hi)),
+            )),
             io,
             dir: dir.to_path_buf(),
             seg: scan.hi,
             lo: scan.lo,
             retained: scan.retained,
             config_line: scan.config_line,
-            synced: true,
             tele: None,
         };
         if scan.synthesized_hi {
@@ -696,11 +712,12 @@ impl DurableStore {
         Ok((store, report))
     }
 
-    /// Attaches a telemetry registry (fsync latency, bytes/records
-    /// written, checkpoints, retention unlinks, torn-tail truncations).
-    /// A disabled handle detaches.
+    /// Attaches a telemetry registry (fsync latency, batches per fsync,
+    /// coalesced commits, bytes/records written, checkpoints, retention
+    /// unlinks, torn-tail truncations). A disabled handle detaches.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tele = StoreTele::build(telemetry);
+        self.commit.set_tele(self.tele.clone());
     }
 
     /// The store directory.
@@ -756,16 +773,19 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Appends one framed chunk to the open segment (no fsync — that is
-    /// [`DurableStore::sync`]'s group commit).
-    fn append_chunk(&mut self, payload: &str) -> Result<(), String> {
+    /// Appends one framed chunk to the open segment and advances the
+    /// appended watermark (`batch`: the chunk's batch number, `None` for
+    /// an epoch record). No fsync — that is the group commit's.
+    fn append_chunk(&mut self, payload: &str, batch: Option<u64>) -> Result<(), String> {
+        self.commit.check()?;
         let mut framed = Vec::with_capacity(payload.len() + 8);
         append_record(&mut framed, payload.as_bytes());
         let path = self.seg_path();
-        self.io
-            .append(&path, &framed)
-            .map_err(|e| format!("append to '{}': {e}", path.display()))?;
-        self.synced = false;
+        self.io.append(&path, &framed).map_err(|e| {
+            self.commit
+                .fail(format!("append to '{}': {e}", path.display()))
+        })?;
+        self.commit.appended(batch);
         self.count_write(framed.len());
         Ok(())
     }
@@ -788,27 +808,46 @@ impl DurabilitySink for DurableStore {
         for e in events {
             e.write_line(&mut payload);
         }
-        self.append_chunk(&payload)
+        self.append_chunk(&payload, Some(first.batch))
     }
 
     fn append_epoch(&mut self, record: &EpochRecord) -> Result<(), String> {
         let mut payload = String::new();
         record.write_line(&mut payload);
-        self.append_chunk(&payload)
+        self.append_chunk(&payload, None)
     }
 
     fn checkpoint(&mut self, checkpoint: &Checkpoint) -> Result<(), String> {
+        // The sync mutex for the whole seal-and-rotate: no committer may
+        // fsync the outgoing segment once the next one is open.
+        let commit = Arc::clone(&self.commit);
+        let mut open = commit.lock_open();
+        self.checkpoint_locked(checkpoint, &mut open)
+            .map_err(|e| commit.fail(e))
+    }
+
+    fn sync(&mut self) -> Result<(), String> {
+        self.commit.sync_all()
+    }
+
+    fn group_commit(&self) -> Option<Arc<dyn GroupCommit>> {
+        Some(Arc::clone(&self.commit) as Arc<dyn GroupCommit>)
+    }
+}
+
+impl DurableStore {
+    /// [`DurabilitySink::checkpoint`] under the sync mutex, whose value
+    /// (the open segment's path) `open` is.
+    fn checkpoint_locked(
+        &mut self,
+        checkpoint: &Checkpoint,
+        open: &mut PathBuf,
+    ) -> Result<(), String> {
         let fail = |file: &str, e: std::io::Error| format!("checkpoint I/O on '{file}': {e}");
         // Seal the open segment: its tail must be durable before the
         // checkpoint that supersedes it, or a recovered journal would
         // hold fewer events than the in-memory one that kept serving.
-        if !self.synced {
-            let path = self.seg_path();
-            self.io
-                .sync_file(&path)
-                .map_err(|e| fail(&path.display().to_string(), e))?;
-            self.synced = true;
-        }
+        self.commit.sync_open(open)?;
         let next = self.seg + 1;
         let name = checkpoint_file_name(next);
         let tmp_name = format!("{name}.tmp");
@@ -838,7 +877,7 @@ impl DurabilitySink for DurableStore {
         self.write_segment_header(next)
             .map_err(|(f, e)| fail(&f, e))?;
         self.seg = next;
-        self.synced = true;
+        *open = self.seg_path();
         let mut unlinked = 0u64;
         while (self.seg - self.lo) as usize > self.retained {
             let seg_name = segment_file_name(self.lo);
@@ -863,26 +902,6 @@ impl DurabilitySink for DurableStore {
             tele.checkpoints.inc();
             tele.segments_unlinked.add(unlinked);
         }
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<(), String> {
-        if self.synced {
-            return Ok(());
-        }
-        let path = self.seg_path();
-        let t0 = self.tele.as_ref().map(|t| t.t.now_nanos());
-        self.io
-            .sync_file(&path)
-            .map_err(|e| format!("fsync '{}': {e}", path.display()))?;
-        if let Some(tele) = &self.tele {
-            tele.fsync_nanos.record(
-                tele.t
-                    .now_nanos()
-                    .saturating_sub(t0.expect("stamped above")),
-            );
-        }
-        self.synced = true;
         Ok(())
     }
 }

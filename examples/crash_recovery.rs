@@ -38,7 +38,7 @@ fn main() {
 
     let mut engine = Engine::new(config);
     let store = DurableStore::create(
-        Arc::new(FsIo) as Arc<dyn StoreIo>,
+        Arc::new(FsIo::new()) as Arc<dyn StoreIo>,
         &dir,
         engine.journal().expect("journal enabled").config(),
     )
@@ -85,7 +85,7 @@ fn main() {
         seq.len(),
         engine.batches(),
     );
-    let files = FsIo.list_dir(&dir).expect("store dir listable");
+    let files = FsIo::new().list_dir(&dir).expect("store dir listable");
     let on_disk: u64 = files
         .iter()
         .filter_map(|name| std::fs::metadata(dir.join(name)).ok())
@@ -128,7 +128,7 @@ fn main() {
     // The recovered engine re-attaches a store over the same directory
     // (repairing any torn tail on open) and keeps serving durably.
     let (store, report) =
-        DurableStore::open(Arc::new(FsIo) as Arc<dyn StoreIo>, &dir).expect("reopen store");
+        DurableStore::open(Arc::new(FsIo::new()) as Arc<dyn StoreIo>, &dir).expect("reopen store");
     println!(
         "reopened the store at segment {} ({} torn bytes truncated, {} stale files removed)",
         report.segments, report.torn_bytes_truncated, report.files_removed

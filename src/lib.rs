@@ -128,9 +128,9 @@ pub use realloc_core::{
     RequestSeq, Restorable, ScheduleSnapshot, SingleMachineReallocator, SlotMove, Tower, Window,
 };
 pub use realloc_engine::{
-    BackendKind, CoalesceConfig, DurabilitySink, Engine, EngineConfig, EpochRecord, Journal,
-    JournalCursor, JournalRecord, Metrics, RecoverError, ReplayError, ResizeError, ResizeReport,
-    TenantId,
+    BackendKind, CoalesceConfig, DurabilitySink, Engine, EngineConfig, EpochRecord, GroupCommit,
+    Journal, JournalCursor, JournalRecord, Metrics, RecoverError, ReplayError, ResizeError,
+    ResizeReport, TenantId,
 };
 pub use realloc_multi::{AdaptiveScheduler, ReallocatingScheduler, TheoremOneScheduler};
 pub use realloc_reservation::{DeamortizedScheduler, ReservationScheduler, TrimmedScheduler};
